@@ -108,7 +108,7 @@ class ReplicaStore:
     def _apply_update(self, record: RedoUpdate) -> None:
         self.clog.ensure(record.txid)
         heap = self.table(record.table)
-        old = self._current_unended(heap, record.key, record.txid)
+        old = self._current_unended(heap, record.key)
         if old is not None:
             old.xmax = record.txid
         version = RowVersion(key=record.key, data=dict(record.row),
@@ -120,25 +120,22 @@ class ReplicaStore:
     def _apply_delete(self, record: RedoDelete) -> None:
         self.clog.ensure(record.txid)
         heap = self.table(record.table)
-        old = self._current_unended(heap, record.key, record.txid)
+        old = self._current_unended(heap, record.key)
         if old is not None:
             old.xmax = record.txid
             self._txn_versions.setdefault(record.txid, []).append(
                 ("delete", heap, None, old))
 
-    def _current_unended(self, heap: HeapTable, key: tuple,
-                         txid: int) -> RowVersion | None:
-        """The version this write supersedes: the transaction's own latest
-        un-ended version, else the latest un-ended foreign version."""
-        fallback = None
+    def _current_unended(self, heap: HeapTable,
+                         key: tuple) -> RowVersion | None:
+        """The version this write supersedes: the newest un-ended version.
+
+        Records replay in LSN order and the primary held the row lock, so
+        a transaction's own un-ended version, if any, is the newest one."""
         for version in heap.versions(key):
-            if version.xmax is not None:
-                continue
-            if version.xmin == txid:
+            if version.xmax is None:
                 return version
-            if fallback is None:
-                fallback = version
-        return fallback
+        return None
 
     def _apply_pending_commit(self, record: RedoPendingCommit) -> None:
         self.clog.ensure(record.txid)

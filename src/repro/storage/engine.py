@@ -261,7 +261,7 @@ class StorageEngine:
         schema = self.catalog.table(table)
         heap = self.table(table)
         key = schema.key_of(row)
-        existing = self._latest_committed(heap, key)
+        existing = self._current_for_write(heap, key, None)
         if existing is not None:
             raise DuplicateKeyError(f"duplicate key {key} in {table}")
         for version in heap.versions(key):
@@ -333,31 +333,26 @@ class StorageEngine:
         return True
 
     def _current_for_write(self, heap: HeapTable, key: tuple,
-                           txid: int) -> RowVersion | None:
+                           txid: int | None) -> RowVersion | None:
         """The version a write should target: the transaction's own latest
-        un-ended write if any, else the latest committed version."""
-        for version in heap.versions(key):
-            if version.xmin == txid and version.xmax is None:
-                return version
-        return self._latest_committed(heap, key)
+        un-ended write if any, else the latest committed, un-superseded
+        version (``txid=None`` asks for the latter only).
 
-    def _latest_committed(self, heap: HeapTable, key: tuple) -> RowVersion | None:
-        """Latest committed, un-superseded version of ``key``."""
-        best: RowVersion | None = None
-        best_ts = -1
+        One newest-first pass that stops at the first match is exact: a key
+        has at most one committed, un-superseded version, and the writer's
+        own un-ended version is the newest because it holds the row lock.
+        """
+        clog = self.clog
         for version in heap.versions(key):
-            created_ts = self.clog.commit_ts(version.xmin)
-            if created_ts is None:
+            xmax = version.xmax
+            if xmax is None and version.xmin == txid:
+                return version
+            if clog.commit_ts(version.xmin) is None:
                 continue
-            if version.xmax is not None:
-                end_status = (self.clog.status(version.xmax)
-                              if self.clog.known(version.xmax) else TxnStatus.COMMITTED)
-                if end_status is TxnStatus.COMMITTED:
-                    continue
-            if created_ts > best_ts:
-                best = version
-                best_ts = created_ts
-        return best
+            if xmax is None or (clog.known(xmax)
+                                and clog.status(xmax) is not TxnStatus.COMMITTED):
+                return version
+        return None
 
     # ------------------------------------------------------------------
     # Vacuum (MVCC garbage collection)

@@ -18,9 +18,9 @@ from repro.storage.clog import CommitLog
 from repro.storage.snapshot import Snapshot
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class RowVersion:
-    """One version of a row."""
+    """One version of a row. Versions compare by identity."""
 
     key: tuple
     data: dict
@@ -146,6 +146,16 @@ class HeapTable:
             chain.remove(version)
             if not chain:
                 del self._rows[version.key]
+
+    def truncate(self, key: tuple, keep: int) -> int:
+        """Drop all but the ``keep`` newest versions of ``key`` (removing
+        the key once none remain). Returns how many were dropped."""
+        chain = self._rows[key]
+        dropped = len(chain) - keep
+        del chain[keep:]
+        if not chain:
+            del self._rows[key]
+        return dropped
 
     # ------------------------------------------------------------------
     # Reads

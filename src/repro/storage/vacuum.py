@@ -72,10 +72,7 @@ def vacuum_heap(heap: HeapTable, clog: CommitLog, horizon: int) -> VacuumStats:
             ended = _commit_ts_of(clog, anchor.xmax)
             anchor_dead = ended is not None and ended <= horizon
         first_drop = keep_through if anchor_dead else keep_through + 1
-        doomed = chain[first_drop:]
-        for version in doomed:
-            heap.remove_version(version)
-            stats.versions_removed += 1
+        stats.versions_removed += heap.truncate(key, first_drop)
         # Freeze survivors that committed at or below the horizon so their
         # clog entries become prunable.
         for version in heap.versions(key):
