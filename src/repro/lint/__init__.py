@@ -5,7 +5,7 @@ this package is the gate that keeps it that way. It ships:
 
 - an AST-based analyzer (stdlib ``ast`` only) with a rule registry
   (:mod:`repro.lint.rules`), per-module rules SIM101–SIM106, SIM111
-  and SIM112 (:mod:`repro.lint.visitors`), four interprocedural project rules
+  and SIM112–SIM113 (:mod:`repro.lint.visitors`), four interprocedural project rules
   SIM107–SIM110 (:mod:`repro.lint.interproc` — lock-order cycles,
   mutate-after-send aliasing, yield-while-locked, shared module state),
   per-line pragma suppressions and a findings baseline

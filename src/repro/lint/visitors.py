@@ -1,4 +1,4 @@
-"""The built-in simlint rules (SIM101–SIM106, SIM111, SIM112).
+"""The built-in simlint rules (SIM101–SIM106, SIM111–SIM113).
 
 Each rule targets a determinism or sim-safety hazard this codebase has
 actually hit or is structurally exposed to:
@@ -25,6 +25,11 @@ SIM112    hot-path dispatch hazards: direct `heapq` use outside the
           payloads), and per-event `getattr(self, f"_handle_{...}")`
           string-building dispatch — precompute a handler dict once
           at `__init__` instead
+SIM113    a timer guard built as `<x>.timeout(...)` whose result is
+          only passed to `.add_callback(...)` — the timer holds its
+          callback (and what that closes over) until expiry even once
+          the guarded thing settled; use `env.defer` and cancel the
+          entry with `env.cancel` instead
 ========  ==========================================================
 """
 
@@ -521,3 +526,73 @@ class HotPathDispatchRule(Rule):
                     f"type's MRO on every message — precompute a handler "
                     f"dict once in __init__ (see ClusterNode/GTMServer) "
                     f"and look the kind up in it")
+
+
+# ----------------------------------------------------------------------
+# SIM113 — uncancellable timer guards
+# ----------------------------------------------------------------------
+@register
+class TimerGuardRule(Rule):
+    code = "SIM113"
+    name = "uncancellable-timer-guard"
+    description = ("A timer guard built as <x>.timeout(...) whose result is "
+                   "only passed to .add_callback(...): the Timeout keeps its "
+                   "callback, and everything the callback closes over, alive "
+                   "until the deadline even after the guarded reply or lock "
+                   "arrived. Use env.defer and cancel the entry with "
+                   "env.cancel once the guard is settled.")
+
+    def check(self, module: Module) -> typing.Iterator[Finding]:
+        for node in ast.walk(module.tree):
+            # env.timeout(...).add_callback(...) in one expression.
+            if self._is_add_callback(node) and \
+                    self._is_timeout_call(node.func.value):
+                yield self._finding(module, node.func.value)
+        for func, _cls in _function_nodes(module):
+            yield from self._check_function(module, func)
+
+    @staticmethod
+    def _is_timeout_call(node: ast.AST) -> bool:
+        return (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "timeout")
+
+    @staticmethod
+    def _is_add_callback(node: ast.AST) -> bool:
+        return (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "add_callback")
+
+    def _check_function(self, module: Module, func: ast.AST
+                        ) -> typing.Iterator[Finding]:
+        timers: dict[str, ast.Call] = {}
+        for node in _walk_function_body(func):
+            if isinstance(node, ast.Assign) and len(node.targets) == 1 and \
+                    isinstance(node.targets[0], ast.Name) and \
+                    self._is_timeout_call(node.value):
+                timers[node.targets[0].id] = node.value
+        if not timers:
+            return
+        # A timer name counts as a guard only if every read of it, nested
+        # functions included, is the receiver of an add_callback call.
+        receiver_reads: dict[str, int] = dict.fromkeys(timers, 0)
+        all_reads: dict[str, int] = dict.fromkeys(timers, 0)
+        for node in ast.walk(func):
+            if self._is_add_callback(node) and \
+                    isinstance(node.func.value, ast.Name) and \
+                    node.func.value.id in timers:
+                receiver_reads[node.func.value.id] += 1
+            elif isinstance(node, ast.Name) and node.id in timers and \
+                    isinstance(node.ctx, ast.Load):
+                all_reads[node.id] += 1
+        for name, call in timers.items():
+            if receiver_reads[name] and all_reads[name] == receiver_reads[name]:
+                yield self._finding(module, call)
+
+    def _finding(self, module: Module, call: ast.AST) -> Finding:
+        return self.finding(
+            module, call,
+            "timer guard '.timeout(...)' used only via add_callback holds "
+            "its callback until expiry even after the guard settled — "
+            "schedule it with env.defer and env.cancel the entry when the "
+            "reply or lock arrives")

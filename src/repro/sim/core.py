@@ -35,7 +35,12 @@ heap. The invariant it preserves is the heap kernel's total order —
 Advancing the clock pops the smallest timestamp and swaps its buckets in
 as the new lanes. Because time only moves forward and same-time work goes
 straight to the lanes, a timestamp can never be scheduled again after its
-tick ran — no stale-entry pruning is needed.
+tick ran. The one source of stale timestamps is :meth:`Environment.cancel`:
+cancelling the last live entry of a future tick deletes that tick's bucket
+but leaves its timestamp in the heap, and the pops in ``_advance`` and
+``peek`` skip a timestamp that has no bucket left. (Re-creating a bucket at
+such a timestamp may push it twice; the second pop finds no bucket and is
+skipped the same way.)
 
 Other hot-path notes:
 
@@ -48,6 +53,10 @@ Other hot-path notes:
   allocating an :class:`Event`, a callbacks list, or a closure — the
   network's delivery path uses it for every message. Fired ``_Call``
   entries are recycled through a free list.
+- :meth:`Environment.cancel` withdraws a ``defer`` entry that has not
+  fired. RPC and lock-wait timeouts are such entries, cancelled once the
+  reply or the lock arrives, so a settled timer stops holding its target
+  until the deadline.
 - The ``run`` loops inline the dispatch (no per-event ``step()`` call).
 - ``metrics_on`` / ``trace_on`` cache the observability toggles;
   ``hooks_net`` / ``hooks_txn`` fold them (plus ``san``/``history``) into
@@ -73,13 +82,21 @@ class _Call:
     """A queue entry that invokes ``fn(arg)`` when it fires — the
     allocation-free alternative to a triggered :class:`Event` with one
     callback. Only the kernel touches these; they are invisible to
-    processes (nothing can wait on one)."""
+    processes (nothing can wait on one). ``when`` is the tick the entry
+    was deferred to; :meth:`Environment.cancel` reads it to find the
+    entry's bucket."""
 
-    __slots__ = ("fn", "arg")
+    __slots__ = ("fn", "arg", "when")
 
-    def __init__(self, fn, arg):
+    def __init__(self, fn, arg, when=0):
         self.fn = fn
         self.arg = arg
+        self.when = when
+
+
+def _cancelled(_arg) -> None:
+    """The ``fn`` of a cancelled ``_Call`` that could not be unlinked
+    from its lane or bucket: dispatching it does nothing."""
 
 
 class _StartSignal:
@@ -380,9 +397,11 @@ class Environment:
             call = _Call(fn, arg)
         self._seq += 1
         if delay <= 0:
+            call.when = self.now
             self._lane_normal.append(call)
             return call
         when = self.now + delay
+        call.when = when
         buckets = self._buckets
         bucket = buckets.get(when)
         if bucket is None:
@@ -393,18 +412,53 @@ class Environment:
             bucket.append(call)
         return call
 
+    def cancel(self, call: _Call) -> None:
+        """Withdraw a :meth:`defer` entry that has not fired yet.
+
+        The entry's ``fn``/``arg`` are dropped at once, so nothing it
+        referenced is kept alive until its deadline. An entry in the current
+        tick's lane stays there and fires as a no-op (the lane is being read
+        through a cursor; removing from it would cost O(lane)). A future
+        entry is popped off its bucket when it is the bucket's last element,
+        together with any cancelled entries before it; an emptied bucket is
+        deleted. So a future tick never consists of cancelled entries only,
+        and the clock never visits one. Nothing else moves: every live entry
+        keeps the ``(when, priority, seq)`` slot it was deferred into.
+
+        Calling this on an entry that has fired is an error the kernel
+        cannot detect (fired entries are recycled by later ``defer`` calls);
+        holders must drop their handle once the entry has run.
+        """
+        call.fn = _cancelled
+        call.arg = None
+        when = call.when
+        if when <= self.now:
+            return
+        buckets = self._buckets
+        bucket = buckets[when]
+        while bucket:
+            last = bucket[-1]
+            if last.__class__ is not _Call or last.fn is not _cancelled:
+                return
+            bucket.pop()
+        del buckets[when]
+
     def _advance(self, when: int) -> None:
         """Move the clock to ``when`` and swap that tick's buckets in as
-        the new lanes. Only called with lanes fully consumed."""
+        the new lanes. Only called with lanes fully consumed. A stale
+        timestamp (its buckets were cancelled away) leaves the clock and
+        lanes untouched."""
+        urgent = self._buckets_urgent.pop(when, None) if self._buckets_urgent else None
+        bucket = self._buckets.pop(when, None)
+        if bucket is None and urgent is None:
+            return
         self.now = when
-        bucket = self._buckets_urgent.pop(when, None) if self._buckets_urgent else None
-        if bucket is not None:
-            self._lane_urgent = bucket
+        if urgent is not None:
+            self._lane_urgent = urgent
         else:
             lane = self._lane_urgent
             if lane:
                 del lane[:]
-        bucket = self._buckets.pop(when, None)
         if bucket is not None:
             self._lane_normal = bucket
         else:
@@ -419,7 +473,13 @@ class Environment:
         if (self._cursor_urgent < len(self._lane_urgent)
                 or self._cursor_normal < len(self._lane_normal)):
             return self.now
-        return self._times[0] if self._times else None
+        times = self._times
+        while times:
+            when = times[0]
+            if when in self._buckets or when in self._buckets_urgent:
+                return when
+            heappop(times)
+        return None
 
     def step(self) -> None:
         """Process exactly one event."""

@@ -48,6 +48,19 @@ def _payload_kind(payload: typing.Any) -> str:
     return type(payload).__name__
 
 
+class RpcReply(Event):
+    """The caller's side of an RPC: an event that fires with the reply.
+
+    ``timer`` is the kernel entry of the request's timeout, if it has one;
+    the reply cancels it (see :meth:`Network._deliver`)."""
+
+    __slots__ = ("timer",)
+
+    def __init__(self, env: Environment):
+        super().__init__(env)
+        self.timer = None
+
+
 class Request:
     """RPC request payload wrapper.
 
@@ -371,6 +384,11 @@ class Network:
                 self._msg_pool.append(message)
             if reply_event.triggered:
                 return  # caller timed out / gave up
+            # Untriggered means the timeout has not fired (firing fails a
+            # pending event), so its entry is still queued and cancellable.
+            timer = reply_event.timer
+            if timer is not None:
+                self.env.cancel(timer)
             if kind == "__rpc_reply__":
                 reply_event.succeed(value)
             else:
@@ -387,7 +405,7 @@ class Network:
         If the destination is down at send time, or ``timeout_ns`` elapses
         first, the event fails with :class:`NetworkError`.
         """
-        reply_event = Event(self.env)
+        reply_event = RpcReply(self.env)
         destination = self.endpoint(dst)
         if not destination.up:
             reply_event.fail(NetworkError(f"endpoint {dst} is down"))
@@ -396,17 +414,17 @@ class Network:
         request = Request(self, src, dst, body, reply_event)
         self.send(src, dst, payload=request, size_bytes=size_bytes)
         if timeout_ns is not None:
-            self._arm_timeout(reply_event, timeout_ns, dst)
+            # The timer holds only the request; _deliver cancels it when
+            # the reply arrives, so neither outlives the round trip.
+            reply_event.timer = self.env.defer(timeout_ns, self._rpc_timed_out,
+                                               request)
         return reply_event
 
-    def _arm_timeout(self, reply_event: Event, timeout_ns: int, dst: str) -> None:
-        timer = self.env.timeout(timeout_ns)
-
-        def on_timer(_ev: Event) -> None:
-            if not reply_event.triggered:
-                reply_event.fail(NetworkError(f"RPC to {dst} timed out"))
-
-        timer.add_callback(on_timer)
+    @staticmethod
+    def _rpc_timed_out(request: Request) -> None:
+        # Only _deliver triggers a pending reply event, and it cancels
+        # this timer first, so the event is still pending here.
+        request._reply_event.fail(NetworkError(f"RPC to {request.dst} timed out"))
 
 
 @dataclass

@@ -17,10 +17,23 @@ from repro.sim.events import Event
 from repro.sim.units import seconds
 
 
+class _Waiter:
+    """One queued lock request: the waiting transaction, the event granted
+    or failed for it, and the kernel entry of its wait timeout."""
+
+    __slots__ = ("txid", "done", "lock_key", "timer")
+
+    def __init__(self, txid: int, done: Event, lock_key: tuple):
+        self.txid = txid
+        self.done = done
+        self.lock_key = lock_key
+        self.timer = None
+
+
 @dataclass
 class _LockState:
     holder: int
-    waiters: deque = field(default_factory=deque)  # of (txid, Event)
+    waiters: deque = field(default_factory=deque)  # of _Waiter
 
 
 class LockTable:
@@ -73,41 +86,37 @@ class LockTable:
                 done.fail(WriteConflict(f"deadlock detected: {cycle}"))
                 return done
         self.wait_count += 1
-        state.waiters.append((txid, done))
-        self._arm_timeout(done, lock_key, txid,
-                          timeout_ns if timeout_ns is not None else self.default_timeout_ns)
+        waiter = _Waiter(txid, done, lock_key)
+        state.waiters.append(waiter)
+        # Granting the lock cancels the timer (_release_one), so a granted
+        # wait does not keep the waiter alive until its deadline.
+        waiter.timer = env.defer(
+            timeout_ns if timeout_ns is not None else self.default_timeout_ns,
+            self._wait_timed_out, waiter)
         return done
 
-    def _arm_timeout(self, done: Event, lock_key: tuple, txid: int,
-                     timeout_ns: int) -> None:
-        timer = self.env.timeout(timeout_ns)
-
-        def on_timer(_ev: Event) -> None:
-            if done.triggered:
-                return
-            state = self._locks.get(lock_key)
-            if state is not None:
-                state.waiters = deque(
-                    (waiting_txid, event) for waiting_txid, event in state.waiters
-                    if event is not done)
-            env = self.env
-            san = env.san
-            if san is not None:
-                san.on_lock_wait_aborted(self, txid)
-            # Classify the abort: a timeout whose waiter sat on a wait-for
-            # cycle was really a deadlock the timeout happened to break.
-            if self._part_of_cycle(txid, lock_key):
-                self.deadlock_count += 1
-                if env.series_on:
-                    env.series.counter("lock.deadlocks", 1)
-            else:
-                self.timeout_count += 1
-                if env.series_on:
-                    env.series.counter("lock.timeouts", 1)
-            done.fail(WriteConflict(
-                f"lock wait timeout on {lock_key[0]}{lock_key[1]} (txn {txid})"))
-
-        timer.add_callback(on_timer)
+    def _wait_timed_out(self, waiter: _Waiter) -> None:
+        # Queued waiters are pending: a grant pops the waiter and cancels
+        # this timer before triggering its event.
+        lock_key = waiter.lock_key
+        txid = waiter.txid
+        self._locks[lock_key].waiters.remove(waiter)
+        env = self.env
+        san = env.san
+        if san is not None:
+            san.on_lock_wait_aborted(self, txid)
+        # Classify the abort: a timeout whose waiter sat on a wait-for
+        # cycle was really a deadlock the timeout happened to break.
+        if self._part_of_cycle(txid, lock_key):
+            self.deadlock_count += 1
+            if env.series_on:
+                env.series.counter("lock.deadlocks", 1)
+        else:
+            self.timeout_count += 1
+            if env.series_on:
+                env.series.counter("lock.timeouts", 1)
+        waiter.done.fail(WriteConflict(
+            f"lock wait timeout on {lock_key[0]}{lock_key[1]} (txn {txid})"))
 
     def _part_of_cycle(self, txid: int, lock_key: tuple) -> bool:
         """Was ``txid`` (about to abort its wait on ``lock_key``) part of a
@@ -117,9 +126,9 @@ class LockTable:
         global graph — a local miss under-counts, never over-counts."""
         waits: dict[int, tuple] = {}
         for key, state in self._locks.items():
-            for waiting_txid, event in state.waiters:
-                if not event.triggered and waiting_txid not in waits:
-                    waits[waiting_txid] = key
+            for waiter in state.waiters:
+                if waiter.txid not in waits:
+                    waits[waiter.txid] = key
         seen = set()
         current_key = lock_key
         while True:
@@ -149,16 +158,17 @@ class LockTable:
         state = self._locks.get(lock_key)
         if state is None:
             return
-        san = self.env.san
-        while state.waiters:
-            next_txid, event = state.waiters.popleft()
-            if event.triggered:  # timed out already
-                continue
+        env = self.env
+        san = env.san
+        if state.waiters:
+            waiter = state.waiters.popleft()
+            env.cancel(waiter.timer)
+            next_txid = waiter.txid
             state.holder = next_txid
             self._held.setdefault(next_txid, set()).add(lock_key)
             if san is not None:
                 san.on_lock_granted(self, next_txid, lock_key)
-            event.succeed(True)
+            waiter.done.succeed(True)
             return
         del self._locks[lock_key]
         if san is not None:

@@ -341,6 +341,73 @@ class TestHotPathDispatch:
 
 
 # ----------------------------------------------------------------------
+# SIM113 — uncancellable timer guards
+# ----------------------------------------------------------------------
+class TestTimerGuard:
+    def test_flags_timeout_only_passed_to_add_callback(self):
+        # The shape RPC and lock-wait timeouts had before env.cancel.
+        found = findings_for("""
+            class Network:
+                def _arm_timeout(self, reply_event, timeout_ns, dst):
+                    timer = self.env.timeout(timeout_ns)
+
+                    def on_timer(_ev):
+                        if not reply_event.triggered:
+                            reply_event.fail(RuntimeError(dst))
+
+                    timer.add_callback(on_timer)
+        """, rule="SIM113")
+        assert codes(found) == ["SIM113"]
+        assert found[0].line == 4
+
+    def test_flags_chained_add_callback(self):
+        found = findings_for("""
+            def guard(env, done):
+                env.timeout(5).add_callback(lambda _ev: done.fail(KeyError()))
+        """, rule="SIM113")
+        assert codes(found) == ["SIM113"]
+
+    def test_yielded_or_raced_timeout_is_clean(self):
+        found = findings_for("""
+            def sleeper(env):
+                timer = env.timeout(10)
+                timer.add_callback(print)
+                yield timer
+
+            def race(env, reply):
+                timer = env.timeout(10)
+                result = yield env.any_of([reply, timer])
+                return result
+        """, rule="SIM113")
+        assert found == []
+
+    def test_timer_read_in_nested_function_is_clean(self):
+        found = findings_for("""
+            def guard(env, done):
+                timer = env.timeout(10)
+
+                def on_done(_ev):
+                    return timer.triggered
+
+                timer.add_callback(on_done)
+        """, rule="SIM113")
+        assert found == []
+
+    def test_defer_with_cancel_is_clean(self):
+        found = findings_for("""
+            class LockTable:
+                def wait(self, waiter, timeout_ns):
+                    waiter.timer = self.env.defer(timeout_ns, self._expire,
+                                                  waiter)
+
+                def grant(self, waiter):
+                    self.env.cancel(waiter.timer)
+                    waiter.done.succeed(True)
+        """, rule="SIM113")
+        assert found == []
+
+
+# ----------------------------------------------------------------------
 # Pragmas, baseline, reporters
 # ----------------------------------------------------------------------
 class TestSuppression:

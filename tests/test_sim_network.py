@@ -167,3 +167,57 @@ def test_late_rpc_reply_after_timeout_is_ignored():
     env.process(client())
     env.run()
     assert outcomes == [("timeout", ms(30))]
+
+
+class _Blob:
+    """A reply value a weakref can watch."""
+
+
+def test_answered_rpc_releases_its_reply_and_timer_entry():
+    """A reply cancels the request's timeout: long before the 2 s deadline
+    the kernel holds no entry for the request, and the reply value dies
+    with the caller's last reference to it."""
+    import gc
+    import weakref
+
+    from repro.sim import seconds
+
+    env, net = make_net()
+    net.set_link("a", "b", latency_ns=us(500))
+    net.set_handler("b", lambda msg: msg.payload.reply(_Blob()))
+    seen = []
+
+    def client():
+        value = yield net.request("a", "b", "x", timeout_ns=seconds(2))
+        seen.append((weakref.ref(value), env.now))
+
+    env.process(client())
+    # A later tick, so the kernel swaps out the lane the reply ran in.
+    env.timeout(ms(3))
+    env.run(until=ms(5))
+    (ref, when), = seen
+    assert ms(1) <= when < ms(1.1)
+    assert env.peek() is None  # no timer entry left for the request
+    gc.collect()
+    assert ref() is None
+
+
+def test_reply_at_exactly_the_deadline_times_out():
+    """The timer was deferred before the reply was sent, so at an equal
+    deadline its (when, priority, seq) slot comes first: the RPC fails and
+    the reply is ignored."""
+    env, net = make_net(bandwidth_bps=0)  # 25 ms each way, no transmission
+    net.set_handler("b", lambda msg: msg.payload.reply("on time?"))
+    outcomes = []
+
+    def client():
+        try:
+            value = yield net.request("a", "b", "x", timeout_ns=ms(50))
+            outcomes.append(("ok", value, env.now))
+        except NetworkError as exc:
+            outcomes.append(("timeout", str(exc), env.now))
+
+    env.process(client())
+    env.run()
+    assert outcomes == [("timeout", "RPC to b timed out", ms(50))]
+    assert env.now == ms(50)

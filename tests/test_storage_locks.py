@@ -188,3 +188,83 @@ def test_deadlock_emitted_into_timeseries_with_sanitizer():
     series = env.series.series("lock.deadlocks")
     assert series is not None
     assert sum(window.last for window in series.windows.values()) == 1
+
+
+class _Row:
+    """A lock-key component a weakref can watch."""
+
+
+def test_granted_wait_releases_its_timer_entry():
+    """Granting a lock cancels the waiter's timeout: once both holders
+    have released, the kernel holds nothing of the wait, long before the
+    1 s deadline, and the lock key is no longer referenced."""
+    import gc
+    import weakref
+
+    env = Environment()
+    locks = LockTable(env)  # default 1 s wait timeout
+    granted = []
+
+    def holder(key):
+        yield locks.acquire(1, "t", key)
+        yield env.timeout(ms(1))
+        locks.release_all(1)
+
+    def waiter(key):
+        yield locks.acquire(2, "t", key)
+        granted.append(env.now)
+        yield env.timeout(ms(1))
+        locks.release_all(2)
+
+    def start():
+        row = _Row()
+        env.process(holder((row,)))
+        env.process(waiter((row,)))
+        return weakref.ref(row)
+
+    ref = start()
+    # A later tick, so the kernel swaps out the lane the release ran in.
+    env.timeout(ms(3))
+    env.run(until=ms(5))
+    assert granted == [ms(1)]
+    assert env.peek() is None  # no timer entry left for the wait
+    assert locks.locked_count() == 0
+    gc.collect()
+    assert ref() is None
+    assert (locks.wait_count, locks.timeout_count, locks.deadlock_count) \
+        == (1, 0, 0)
+
+
+def test_timeout_classification_with_cancelled_timers():
+    """Granted waits never count; a plain timeout and a timeout that broke
+    a wait-for cycle are told apart exactly as before."""
+    env = Environment()
+    locks = LockTable(env, default_timeout_ns=ms(20))
+    outcomes = []
+
+    def txn(me, delay, first, second, hold_ns):
+        yield locks.acquire(me, first, (1,))
+        yield env.timeout(delay)
+        try:
+            yield locks.acquire(me, second, (1,))
+            outcomes.append((me, "granted", env.now))
+            yield env.timeout(hold_ns)
+        except WriteConflict:
+            outcomes.append((me, "aborted", env.now))
+        locks.release_all(me)
+
+    # 1 and 2 form an a/b cycle: the timeout that breaks it (1's, the
+    # first armed) is a deadlock, and 2 is then granted.
+    env.process(txn(1, ms(1), "a", "b", 0))
+    env.process(txn(2, ms(2), "b", "a", ms(30)))
+    # 3 waits on "c", held by 4 for longer than the wait timeout.
+    env.process(txn(4, 0, "c", "d", ms(50)))
+    env.process(txn(3, ms(1), "e", "c", 0))
+    env.run()
+    assert sorted(outcomes) == [(1, "aborted", ms(21)),
+                                (2, "granted", ms(21)),
+                                (3, "aborted", ms(21)),
+                                (4, "granted", 0)]
+    assert (locks.wait_count, locks.deadlock_count, locks.timeout_count) \
+        == (3, 1, 1)
+    assert locks.locked_count() == 0
